@@ -98,6 +98,25 @@ int main(int argc, char** argv) {
              "7 1 9   # weights\n"
              "2 0 2\n"
              "\t3 0 1 2\n");
+  // Grammar corners of the single-pass scanner (hypergraph/io.hpp):
+  // accepted spellings and the near-misses it must reject.
+  write_file(outdir / "text_reader" / "plus_sign.txt",
+             "hypergraph 2 1\n+7 3\n2 +0 1\n");
+  write_file(outdir / "text_reader" / "vt_ff_crlf.txt",
+             "hypergraph\v2\f1\r\n5\t6\r\n2\v0 1\r\n");
+  write_file(outdir / "text_reader" / "fused_hash.txt",
+             "hypergraph 1 0\n5#c\n");
+  write_file(outdir / "text_reader" / "fused_header.txt",
+             "hypergraph3 0 0\n");
+  write_file(outdir / "text_reader" / "comment_at_eof.txt",
+             "hypergraph 1 1\n4\n1 0\n# no newline after this comment");
+  write_file(outdir / "text_reader" / "embedded_nul.txt",
+             std::string("hypergraph 2 1\n3 4\0\n2 0 1\n", 26));
+  write_file(outdir / "text_reader" / "negative_zero_member.txt",
+             "hypergraph 2 1\n1 2\n2 -0 1\n");
+  write_file(outdir / "text_reader" / "int64_overflow.txt",
+             "hypergraph 2 1\n9223372036854775807 9223372036854775808\n"
+             "2 0 1\n");
 
   // --- binary_validate -----------------------------------------------------
   write_file(outdir / "binary_validate" / "small.hgb", hg::write_binary(g));

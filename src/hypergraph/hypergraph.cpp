@@ -126,12 +126,20 @@ VertexId Builder::add_vertices(std::uint32_t count, Weight weight) {
 }
 
 EdgeId Builder::add_edge(std::span<const VertexId> members) {
-  edges_.emplace_back(members.begin(), members.end());
-  return static_cast<EdgeId>(edges_.size() - 1);
+  members_.insert(members_.end(), members.begin(), members.end());
+  offsets_.push_back(members_.size());
+  return static_cast<EdgeId>(offsets_.size() - 2);
 }
 
 EdgeId Builder::add_edge(std::initializer_list<VertexId> members) {
   return add_edge(std::span<const VertexId>(members.begin(), members.size()));
+}
+
+void Builder::reserve(std::size_t vertices, std::size_t edges,
+                      std::size_t incidences) {
+  weights_.reserve(weights_.size() + vertices);
+  offsets_.reserve(offsets_.size() + edges);
+  members_.reserve(members_.size() + incidences);
 }
 
 Hypergraph Builder::build() {
@@ -143,41 +151,46 @@ Hypergraph Builder::build() {
     }
   }
 
-  Hypergraph g;
-  g.own_weights_ = std::move(weights_);
-  weights_.clear();
-
-  // Edge-side CSR; sort members, validate range and distinctness.
-  g.own_edge_offsets_.assign(1, 0);
-  g.own_edge_offsets_.reserve(edges_.size() + 1);
+  // Edge-side CSR is the flat storage itself: sort each edge's slice in
+  // place, validate range and distinctness, count degrees.
+  const std::size_t m = offsets_.size() - 1;
   std::vector<std::uint32_t> degree(n, 0);
-  std::size_t total = 0;
-  for (auto& e : edges_) total += e.size();
-  g.own_edge_vertices_.reserve(total);
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    auto& members = edges_[i];
-    if (members.empty()) {
+  std::uint32_t rank = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto first =
+        members_.begin() + static_cast<std::ptrdiff_t>(offsets_[i]);
+    const auto last =
+        members_.begin() + static_cast<std::ptrdiff_t>(offsets_[i + 1]);
+    if (first == last) {
       throw std::invalid_argument("Builder: edge " + std::to_string(i) +
                                   " is empty");
     }
-    std::sort(members.begin(), members.end());
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      if (members[j] >= n) {
+    if (!std::is_sorted(first, last)) std::sort(first, last);
+    for (auto it = first; it != last; ++it) {
+      if (*it >= n) {
         throw std::invalid_argument("Builder: edge " + std::to_string(i) +
                                     " references vertex out of range");
       }
-      if (j > 0 && members[j] == members[j - 1]) {
+      if (it != first && *it == *(it - 1)) {
         throw std::invalid_argument("Builder: edge " + std::to_string(i) +
                                     " has duplicate vertex " +
-                                    std::to_string(members[j]));
+                                    std::to_string(*it));
       }
-      ++degree[members[j]];
+      ++degree[*it];
     }
-    g.rank_ = std::max(g.rank_, static_cast<std::uint32_t>(members.size()));
-    g.own_edge_vertices_.insert(g.own_edge_vertices_.end(), members.begin(),
-                                members.end());
-    g.own_edge_offsets_.push_back(g.own_edge_vertices_.size());
+    rank = std::max(rank, static_cast<std::uint32_t>(last - first));
   }
+
+  Hypergraph g;
+  g.rank_ = rank;
+  g.own_weights_ = std::move(weights_);
+  g.own_edge_vertices_ = std::move(members_);
+  g.own_edge_vertices_.shrink_to_fit();
+  g.own_edge_offsets_ = std::move(offsets_);
+  g.own_edge_offsets_.shrink_to_fit();
+  weights_.clear();
+  members_.clear();
+  offsets_.assign(1, 0);
 
   // Vertex-side CSR from the degree histogram.
   g.own_vertex_offsets_.assign(n + 1, 0);
@@ -188,8 +201,8 @@ Hypergraph Builder::build() {
 
   // Local max-degree table: Delta(e) = max_{v in e} degree(v), one pass
   // over the incidences so local_max_degree(e) is O(1) forever after.
-  g.own_local_max_degree_.assign(edges_.size(), 0);
-  for (std::size_t e = 0; e + 1 < g.own_edge_offsets_.size(); ++e) {
+  g.own_local_max_degree_.assign(m, 0);
+  for (std::size_t e = 0; e < m; ++e) {
     std::uint32_t best = 0;
     for (std::size_t k = g.own_edge_offsets_[e];
          k < g.own_edge_offsets_[e + 1]; ++k) {
@@ -201,7 +214,7 @@ Hypergraph Builder::build() {
   g.own_vertex_edges_.resize(g.own_edge_vertices_.size());
   std::vector<Offset> cursor(g.own_vertex_offsets_.begin(),
                              g.own_vertex_offsets_.end() - 1);
-  for (std::size_t e = 0; e + 1 < g.own_edge_offsets_.size(); ++e) {
+  for (std::size_t e = 0; e < m; ++e) {
     for (std::size_t k = g.own_edge_offsets_[e];
          k < g.own_edge_offsets_[e + 1]; ++k) {
       const VertexId v = g.own_edge_vertices_[k];
@@ -210,7 +223,6 @@ Hypergraph Builder::build() {
   }
   // Edge ids per vertex are emitted in increasing e, hence already sorted.
 
-  edges_.clear();
   g.rebind();
   return g;
 }

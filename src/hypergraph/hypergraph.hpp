@@ -151,6 +151,8 @@ class Hypergraph {
 /// Incremental constructor for Hypergraph. Validates on build():
 ///  - every edge is non-empty with distinct member vertices in range,
 ///  - every weight is a positive integer (paper §2: w : V -> N+).
+/// Edges are stored flat (one member array plus edge offsets), so
+/// build() sorts each edge in place and hands both arrays to the graph.
 class Builder {
  public:
   /// Adds a vertex with the given positive weight; returns its id.
@@ -164,11 +166,15 @@ class Builder {
   EdgeId add_edge(std::span<const VertexId> members);
   EdgeId add_edge(std::initializer_list<VertexId> members);
 
+  /// Reserves room for that many more vertices, edges and incidences.
+  void reserve(std::size_t vertices, std::size_t edges,
+               std::size_t incidences);
+
   [[nodiscard]] std::uint32_t num_vertices() const noexcept {
     return static_cast<std::uint32_t>(weights_.size());
   }
   [[nodiscard]] std::uint32_t num_edges() const noexcept {
-    return static_cast<std::uint32_t>(edges_.size());
+    return static_cast<std::uint32_t>(offsets_.size() - 1);
   }
 
   /// Validates and produces the immutable hypergraph. Throws
@@ -177,7 +183,9 @@ class Builder {
 
  private:
   std::vector<Weight> weights_;
-  std::vector<std::vector<VertexId>> edges_;
+  // Edge e is members_[offsets_[e], offsets_[e + 1]).
+  std::vector<VertexId> members_;
+  std::vector<Offset> offsets_{0};
 };
 
 }  // namespace hypercover::hg

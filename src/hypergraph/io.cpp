@@ -1,6 +1,9 @@
 #include "hypergraph/io.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <istream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -10,29 +13,91 @@ namespace hypercover::hg {
 
 namespace {
 
-/// Reads the next whitespace-separated token, skipping '#' comments.
-bool next_token(std::istream& is, std::string& tok) {
-  while (is >> tok) {
-    if (tok[0] != '#') return true;
-    std::string rest;
-    std::getline(is, rest);  // discard remainder of comment line
-  }
-  return false;
+/// The C-locale isspace set: ' ', \t, \n, \v, \f, \r.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-std::int64_t next_int(std::istream& is, const char* what) {
-  std::string tok;
-  if (!next_token(is, tok)) {
-    throw std::runtime_error(std::string("hypergraph read: missing ") + what);
+/// Single-pass token scanner over a contiguous buffer.
+class Scanner {
+ public:
+  explicit Scanner(std::string_view text)
+      : p_(text.data()), end_(text.data() + text.size()) {}
+
+  /// Reads the next token, skipping whitespace and '#' comments.
+  bool next_token(std::string_view& tok) {
+    if (!skip_to_token()) return false;
+    const char* begin = p_;
+    p_ = token_end(p_);
+    tok = std::string_view(begin, static_cast<std::size_t>(p_ - begin));
+    return true;
   }
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(tok, &pos);
-    if (pos != tok.size()) throw std::invalid_argument(tok);
+
+  /// Reads the next token as an integer. from_chars runs straight off
+  /// the token start and must stop exactly at the token's end.
+  std::int64_t next_int(const char* what) {
+    if (!skip_to_token()) {
+      throw std::runtime_error(std::string("hypergraph read: missing ") + what);
+    }
+    const char* tok = p_;
+    // from_chars takes a '-' but not a '+'; a '+' must be followed
+    // directly by a digit ("+-5" is not an integer).
+    const char* first = *tok == '+' ? tok + 1 : tok;
+    std::int64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(first, end_, v);
+    if (ec != std::errc() || (ptr != end_ && !is_space(*ptr)) ||
+        (first != tok && *first == '-')) {
+      throw std::runtime_error(
+          std::string("hypergraph read: bad integer '") +
+          std::string(tok, token_end(tok)) + "' for " + what);
+    }
+    p_ = ptr;
     return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("hypergraph read: bad integer '") +
-                             tok + "' for " + what);
+  }
+
+  /// Upper bound on the integers the unscanned input can still hold:
+  /// each takes at least two bytes (digit + separator), except the last.
+  /// Reservations use this, never the header's counts.
+  [[nodiscard]] std::size_t max_values() const noexcept {
+    return static_cast<std::size_t>(end_ - p_) / 2 + 1;
+  }
+
+ private:
+  /// Advances to the next token's first byte; false at end of input.
+  bool skip_to_token() {
+    for (;;) {
+      while (p_ != end_ && is_space(*p_)) ++p_;
+      if (p_ == end_) return false;
+      if (*p_ != '#') return true;
+      // A token starting with '#' comments out the rest of the line.
+      const void* nl =
+          std::memchr(p_, '\n', static_cast<std::size_t>(end_ - p_));
+      p_ = nl == nullptr ? end_ : static_cast<const char*>(nl) + 1;
+    }
+  }
+
+  [[nodiscard]] const char* token_end(const char* p) const {
+    while (p != end_ && !is_space(*p)) ++p;
+    return p;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+/// Sorts one edge's members: insertion sort for the short edges that
+/// dominate real instances (where std::sort's set-up outweighs the
+/// sort), std::sort beyond that.
+void sort_members(std::vector<VertexId>& members) {
+  if (members.size() > 16) {
+    std::sort(members.begin(), members.end());
+    return;
+  }
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    const VertexId x = members[i];
+    std::size_t j = i;
+    for (; j > 0 && members[j - 1] > x; --j) members[j] = members[j - 1];
+    members[j] = x;
   }
 }
 
@@ -51,18 +116,20 @@ void write_text(std::ostream& os, const Hypergraph& g) {
   }
 }
 
-Hypergraph read_text(std::istream& is) {
-  std::string tok;
-  if (!next_token(is, tok) || tok != "hypergraph") {
+Hypergraph from_text(std::string_view text) {
+  Scanner in(text);
+  std::string_view tok;
+  if (!in.next_token(tok) || tok != "hypergraph") {
     throw std::runtime_error("hypergraph read: missing 'hypergraph' header");
   }
-  const auto n = next_int(is, "vertex count");
-  const auto m = next_int(is, "edge count");
+  const auto n = in.next_int("vertex count");
+  const auto m = in.next_int("edge count");
   if (n < 0 || m < 0) throw std::runtime_error("hypergraph read: negative size");
 
   Builder b;
+  b.reserve(std::min(static_cast<std::size_t>(n), in.max_values()), 0, 0);
   for (std::int64_t v = 0; v < n; ++v) {
-    const std::int64_t w = next_int(is, "weight");
+    const std::int64_t w = in.next_int("weight");
     // Validate here rather than letting Builder::build() reject it, for
     // the same reason as the duplicate check below: malformed *input* is
     // std::runtime_error; std::invalid_argument is the programmatic-API
@@ -75,14 +142,17 @@ Hypergraph read_text(std::istream& is) {
     }
     b.add_vertex(w);
   }
+  // An edge line is at least two values: k and one member.
+  const std::size_t values = in.max_values();
+  const std::size_t edges = std::min(static_cast<std::size_t>(m), values / 2);
+  b.reserve(0, edges, edges == 0 ? 0 : values - edges);
   std::vector<VertexId> members;
-  std::vector<VertexId> sorted;
   for (std::int64_t e = 0; e < m; ++e) {
-    const auto k = next_int(is, "edge size");
+    const auto k = in.next_int("edge size");
     if (k <= 0) throw std::runtime_error("hypergraph read: edge size <= 0");
     members.clear();
     for (std::int64_t i = 0; i < k; ++i) {
-      const auto v = next_int(is, "edge member");
+      const auto v = in.next_int("edge member");
       if (v < 0 || v >= n) {
         throw std::runtime_error("hypergraph read: member out of range");
       }
@@ -91,38 +161,40 @@ Hypergraph read_text(std::istream& is) {
     // Reject duplicate members here (not only in Builder) so both the
     // text and binary readers enforce the same contract with the same
     // error family: malformed *input* is std::runtime_error, while
-    // std::invalid_argument stays the programmatic-API error.
-    sorted = members;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i] == sorted[i - 1]) {
-        throw std::runtime_error("hypergraph read: edge " + std::to_string(e) +
-                                 " has duplicate vertex " +
-                                 std::to_string(sorted[i]));
-      }
+    // std::invalid_argument stays the programmatic-API error. Sorting in
+    // place costs nothing extra: build() needs each edge sorted anyway.
+    sort_members(members);
+    const auto dup = std::adjacent_find(members.begin(), members.end());
+    if (dup != members.end()) {
+      throw std::runtime_error("hypergraph read: edge " + std::to_string(e) +
+                               " has duplicate vertex " +
+                               std::to_string(*dup));
     }
     b.add_edge(std::span<const VertexId>(members));
   }
   // A complete graph must be followed by end-of-input (comments aside):
   // trailing tokens mean a malformed or truncated-header instance, and
   // silently ignoring them used to mask exactly that.
-  std::string trailing;
-  if (next_token(is, trailing)) {
-    throw std::runtime_error("hypergraph read: trailing token '" + trailing +
-                             "' after the last edge");
+  if (in.next_token(tok)) {
+    throw std::runtime_error("hypergraph read: trailing token '" +
+                             std::string(tok) + "' after the last edge");
   }
   return b.build();
+}
+
+Hypergraph read_text(std::istream& is) {
+  std::string text;
+  char buf[64 * 1024];
+  while (is.read(buf, sizeof(buf)), is.gcount() > 0) {
+    text.append(buf, static_cast<std::size_t>(is.gcount()));
+  }
+  return from_text(text);
 }
 
 std::string to_text(const Hypergraph& g) {
   std::ostringstream os;
   write_text(os, g);
   return os.str();
-}
-
-Hypergraph from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_text(is);
 }
 
 }  // namespace hypercover::hg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <unordered_map>
 
 namespace hypercover::obs {
@@ -35,6 +36,8 @@ std::uint64_t new_id() {
 namespace {
 
 constexpr std::size_t kSlotWords = (sizeof(SpanRecord) + 7) / 8;
+static_assert(offsetof(SpanRecord, trace_id) == 0,
+              "Ring::snapshot filters on slot word 0");
 
 std::size_t round_up_pow2(std::size_t v) {
   std::size_t cap = 8;
@@ -73,8 +76,9 @@ struct Recorder::Ring {
     s.seq.store(seq0 + 2, std::memory_order_release);
   }
 
-  /// Appends every consistently-readable live record to `out`.
-  void snapshot(std::vector<SpanRecord>& out) const {
+  /// Appends every consistently-readable live record of `trace_id` to
+  /// `out` (every live record when `trace_id` is 0).
+  void snapshot(std::vector<SpanRecord>& out, std::uint64_t trace_id) const {
     const std::uint64_t h = head.load(std::memory_order_acquire);
     const std::uint64_t cap = mask + 1;
     const std::uint64_t lo = h > cap ? h - cap : 0;
@@ -83,14 +87,21 @@ struct Recorder::Ring {
       for (int attempt = 0; attempt < 4; ++attempt) {
         const std::uint32_t seq1 = s.seq.load(std::memory_order_acquire);
         if (seq1 % 2 != 0) continue;  // write in progress
+        // Word 0 is the trace id: a slot of another trace costs one load.
         std::uint64_t w[kSlotWords];
-        for (std::size_t i = 0; i < kSlotWords; ++i)
-          w[i] = s.words[i].load(std::memory_order_relaxed);
+        w[0] = s.words[0].load(std::memory_order_relaxed);
+        const bool want = w[0] != 0 && (trace_id == 0 || w[0] == trace_id);
+        if (want) {
+          for (std::size_t i = 1; i < kSlotWords; ++i)
+            w[i] = s.words[i].load(std::memory_order_relaxed);
+        }
         std::atomic_thread_fence(std::memory_order_acquire);
         if (s.seq.load(std::memory_order_relaxed) != seq1) continue;
-        SpanRecord rec;
-        std::memcpy(&rec, w, sizeof(rec));
-        if (rec.trace_id != 0) out.push_back(rec);
+        if (want) {
+          SpanRecord rec;
+          std::memcpy(&rec, w, sizeof(rec));
+          out.push_back(rec);
+        }
         break;
       }
     }
@@ -138,21 +149,22 @@ void Recorder::record(const SpanRecord& rec) {
 }
 
 std::vector<SpanRecord> Recorder::collect(std::uint64_t trace_id) const {
-  std::vector<SpanRecord> all = collect_all();
-  std::erase_if(all, [trace_id](const SpanRecord& r) {
-    return r.trace_id != trace_id;
-  });
-  return all;
+  if (trace_id == 0) return {};  // never recorded
+  return snapshot(trace_id);
 }
 
-std::vector<SpanRecord> Recorder::collect_all() const {
+std::vector<SpanRecord> Recorder::collect_all() const { return snapshot(0); }
+
+std::vector<SpanRecord> Recorder::snapshot(std::uint64_t trace_id) const {
+  // Filtered inside each ring, so only the wanted records are copied and
+  // sorted, however much else the rings hold.
   std::vector<std::shared_ptr<Ring>> rings;
   {
     std::lock_guard<std::mutex> lock(reg_mu_);
     rings = rings_;
   }
   std::vector<SpanRecord> out;
-  for (const auto& ring : rings) ring->snapshot(out);
+  for (const auto& ring : rings) ring->snapshot(out, trace_id);
   std::sort(out.begin(), out.end(),
             [](const SpanRecord& a, const SpanRecord& b) {
               if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;

@@ -104,6 +104,8 @@ class Recorder {
  private:
   struct Ring;
   Ring& local_ring();
+  /// Sorted live records of `trace_id` (of every trace when 0).
+  [[nodiscard]] std::vector<SpanRecord> snapshot(std::uint64_t trace_id) const;
 
   std::size_t capacity_;
   std::uint64_t id_;  // process-unique, keys the thread-local ring cache

@@ -247,9 +247,11 @@ struct Router::Impl {
     hg::Hypergraph parsed;
     try {
       if (tag == FrameTag::kSubmitGraph) {
-        std::string text;
+        // Inline text is parsed in place in the frame payload.
+        std::string file_text;
+        std::string_view text;
         if (kind == kGraphInline) {
-          text = r.str();
+          text = r.str_view();
           if (!consumed_all(sock, r, "SubmitGraph")) return false;
         } else if (kind == kGraphByPath) {
           const std::string path = r.str();
@@ -262,14 +264,15 @@ struct Router::Impl {
           // Bounded slurp, same rationale as the server's: a by-path
           // file must not balloon past what an inline frame could carry.
           char buf[64 * 1024];
-          while (text.size() <= opts.max_frame_bytes &&
+          while (file_text.size() <= opts.max_frame_bytes &&
                  (in.read(buf, sizeof(buf)), in.gcount() > 0)) {
-            text.append(buf, static_cast<std::size_t>(in.gcount()));
+            file_text.append(buf, static_cast<std::size_t>(in.gcount()));
           }
-          if (text.size() > opts.max_frame_bytes) {
+          if (file_text.size() > opts.max_frame_bytes) {
             send_error(sock, "graph file exceeds the frame cap: " + path);
             return true;
           }
+          text = file_text;
         } else {
           send_error(sock, "unknown SubmitGraph kind " + std::to_string(kind));
           return true;

@@ -208,9 +208,12 @@ struct SolveServer::Impl {
   /// keep the connection.
   bool handle_submit_graph(Socket& sock, PayloadReader& r, ConnGraph& state) {
     const std::uint8_t kind = r.u8();
-    std::string text;
+    // Inline text is parsed where it sits in the frame payload; only a
+    // by-path file is read into `file_text` first.
+    std::string file_text;
+    std::string_view text;
     if (kind == kGraphInlineText) {
-      text = r.str();
+      text = r.str_view();
       if (!consumed_all(sock, r, "SubmitGraph")) return false;
     } else if (kind == kGraphByPath) {
       const std::string path = r.str();
@@ -225,10 +228,11 @@ struct SolveServer::Impl {
       // balloon the handler. One byte past the budget is enough to make
       // the admission check below reject it.
       char buf[64 * 1024];
-      while (text.size() <= opts.max_queued_bytes &&
+      while (file_text.size() <= opts.max_queued_bytes &&
              (in.read(buf, sizeof(buf)), in.gcount() > 0)) {
-        text.append(buf, static_cast<std::size_t>(in.gcount()));
+        file_text.append(buf, static_cast<std::size_t>(in.gcount()));
       }
+      text = file_text;
     } else {
       send_error(sock, "unknown SubmitGraph kind " + std::to_string(kind));
       return true;

@@ -113,10 +113,12 @@ std::uint64_t PayloadReader::u64() {
 
 double PayloadReader::f64() { return std::bit_cast<double>(u64()); }
 
-std::string PayloadReader::str() {
+std::string PayloadReader::str() { return std::string(str_view()); }
+
+std::string_view PayloadReader::str_view() {
   const std::uint32_t len = u32();
   const std::uint8_t* p = need(len);
-  return std::string(reinterpret_cast<const char*>(p), len);
+  return std::string_view(reinterpret_cast<const char*>(p), len);
 }
 
 std::vector<std::uint8_t> PayloadReader::bytes() {

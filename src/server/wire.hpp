@@ -129,6 +129,8 @@ class PayloadReader {
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
+  /// Same bytes as str(), viewed in place: valid while the payload lives.
+  [[nodiscard]] std::string_view str_view();
   /// u32 length + raw bytes; the length is validated against remaining().
   [[nodiscard]] std::vector<std::uint8_t> bytes();
   [[nodiscard]] bool done() const noexcept { return pos_ == buf_.size(); }

@@ -204,6 +204,11 @@ TEST(HypergraphIo, RejectsTruncatedInput) {
                std::runtime_error);
   EXPECT_THROW((void)from_text("hypergraph 2 1\n1 1\n4000000000 0 1\n"),
                std::runtime_error);
+  // Same for a huge edge count: storage reserved up front is bounded by
+  // the bytes left to read, so this fails fast instead of reserving for
+  // 4e9 edges.
+  EXPECT_THROW((void)from_text("hypergraph 1 4000000000\n1\n"),
+               std::runtime_error);
 }
 
 TEST(HypergraphIo, RejectsMalformedNumbers) {

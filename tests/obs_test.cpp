@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string_view>
 #include <memory>
 #include <string>
@@ -165,6 +166,42 @@ TEST(Recorder, CollectFiltersByTraceAndIsNonDestructive) {
   // and a repeat collect sees the same records.
   EXPECT_EQ(rec.collect(1).size(), 4u);
   EXPECT_EQ(rec.collect_all().size(), 7u);
+}
+
+// collect(t) filters inside the rings instead of copying and sorting
+// every live record; it must still return exactly collect_all()'s
+// records of trace t, in the same order.
+TEST(Recorder, CollectEqualsCollectAllFilteredToTheTrace) {
+  obs::Recorder rec(64);
+  std::vector<std::thread> writers;
+  for (std::uint64_t t = 1; t <= 3; ++t) {
+    writers.emplace_back([&rec, t] {
+      // Interleaved start times across traces and threads; trace 3
+      // overflows its ring so wraparound is part of the picture.
+      for (std::uint64_t i = 0; i < 20 * t * t; ++i) {
+        obs::SpanRecord r = make_record(t + i % 2 * 10, i);
+        r.start_ns = (i * 7919 + t * 31) % 97;
+        rec.record(r);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  const auto all = rec.collect_all();
+  for (const std::uint64_t t : {1, 2, 3, 11, 12, 13, 99}) {
+    std::vector<obs::SpanRecord> want;
+    std::copy_if(all.begin(), all.end(), std::back_inserter(want),
+                 [t](const obs::SpanRecord& r) { return r.trace_id == t; });
+    const auto got = rec.collect(t);
+    ASSERT_EQ(got.size(), want.size()) << "trace " << t;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].trace_id, t);
+      EXPECT_EQ(got[k].span_id, want[k].span_id) << "trace " << t;
+      EXPECT_EQ(got[k].start_ns, want[k].start_ns) << "trace " << t;
+      EXPECT_EQ(got[k].arg, want[k].arg) << "trace " << t;
+      EXPECT_STREQ(got[k].name, want[k].name);
+    }
+  }
+  EXPECT_TRUE(rec.collect(0).empty());
 }
 
 // The seqlock contract, under TSan: concurrent writers plus a live
