@@ -23,7 +23,17 @@ vigilance: it walks the C++ translation units under src/ and reports any
     wall-clock timestamps and random ids; if they reached the solver
     core they could leak into Solutions, transcripts, or digests and
     break the bit-identical contract, so the boundary is enforced by
-    path, not by review.
+    path, not by review,
+  * libm transcendental calls (log, log2, log10, log1p, exp, exp2, expm1,
+    pow, cbrt, hypot, and the trigonometric and hyperbolic functions) in
+    src/core, src/congest and src/baselines, except in the audited unit
+    src/core/params.cpp -- rule `transcendental`. These functions are not
+    correctly rounded, so their last ulp may differ across libm builds
+    and CPUs; a solver that computes them in its per-round arithmetic
+    could produce different transcripts on different hosts. params.cpp
+    derives the run's parameters (beta, z, the Theorem 9 alpha table)
+    from them once; sqrt and ldexp are exact or correctly rounded and
+    stay allowed everywhere.
 
 Audited exceptions are allowlisted in the source with an annotation
 comment carrying a real justification (>= {min_reason} characters):
@@ -118,7 +128,8 @@ RULES = [
 ]
 
 RULE_IDS = {rule_id for rule_id, _, _, _ in RULES} | {"bad-annotation",
-                                                     "obs-boundary"}
+                                                     "obs-boundary",
+                                                     "transcendental"}
 
 # Path-aware rule: observability state stays in the serving layer. A
 # file whose path contains one of these prefixes may use obs::; any
@@ -139,6 +150,29 @@ OBS_MESSAGE = (
 def obs_allowed_path(path):
     s = str(path).replace("\\", "/")
     return any(prefix in s for prefix in OBS_ALLOWED_PREFIXES)
+
+
+# Path-aware rule: libm transcendentals stay in the one audited unit. A
+# call is a name from the list, optionally std::-qualified and optionally
+# with the float/long-double suffix, followed by '('; member calls
+# (x.log(...), p->exp(...)) and longer identifiers (ipow, expect) do not
+# match.
+TRANSCENDENTAL_PREFIXES = ("src/core/", "src/congest/", "src/baselines/")
+TRANSCENDENTAL_AUDITED = "src/core/params.cpp"
+TRANSCENDENTAL_RE = re.compile(
+    r"(?<![\w.>])(?:std::)?"
+    r"(?:log|log2|log10|log1p|exp|exp2|expm1|pow|cbrt|hypot|atan2"
+    r"|a?(?:sin|cos|tan)h?)[fl]?\s*\(")
+TRANSCENDENTAL_MESSAGE = (
+    "libm transcendentals are not correctly rounded and may differ across "
+    "libm builds and CPUs; compute them in the audited unit "
+    "src/core/params.cpp (sqrt and ldexp are exact and allowed)")
+
+
+def transcendental_checked_path(path):
+    s = str(path).replace("\\", "/")
+    return (any(prefix in s for prefix in TRANSCENDENTAL_PREFIXES)
+            and not s.endswith(TRANSCENDENTAL_AUDITED))
 
 
 def strip_comments_and_literals(text):
@@ -242,6 +276,7 @@ def scan_text(text, path="<memory>", engine="regex"):
         code_lines = regex_engine_lines(text)
     suppressed, findings = collect_annotations(text)
     obs_allowed = obs_allowed_path(path)
+    transcendental_checked = transcendental_checked_path(path)
     raw_lines = text.split("\n")
     for idx, line in enumerate(code_lines):
         if not line:
@@ -264,6 +299,12 @@ def scan_text(text, path="<memory>", engine="regex"):
                 findings.append(
                     (idx, "obs-boundary",
                      f"'{m.group(0).strip()}' - {OBS_MESSAGE}"))
+        if transcendental_checked and idx not in suppressed:
+            m = TRANSCENDENTAL_RE.search(line)
+            if m is not None:
+                findings.append(
+                    (idx, "transcendental",
+                     f"'{m.group(0).strip()}' - {TRANSCENDENTAL_MESSAGE}"))
     findings.sort()
     return findings
 
@@ -292,12 +333,16 @@ def lint_paths(roots, engine):
 # --- self-test over the committed snippet corpus ---------------------------
 
 EXPECT_RE = re.compile(r"LINT-EXPECT:\s*(?P<rules>[a-z-]+(?:\s*,\s*[a-z-]+)*)")
+# A corpus file for a path-aware rule names the repository path it stands
+# for; it is linted as if it lived there.
+AS_PATH_RE = re.compile(r"LINT-AS-PATH:\s*(?P<path>\S+)")
 
 
 def self_test(engine):
     """Run the lint over scripts/lint_corpus and require exact agreement
     with the LINT-EXPECT markers: every marked line must produce exactly
-    the named findings, and nothing unmarked may produce any."""
+    the named findings, and nothing unmarked may produce any. A file
+    with a LINT-AS-PATH marker is linted as if it lived at that path."""
     corpus = pathlib.Path(__file__).resolve().parent / "lint_corpus"
     files = sorted(corpus.glob("*.cpp")) + sorted(corpus.glob("*.hpp"))
     if not files:
@@ -318,7 +363,10 @@ def self_test(engine):
                                     f"'{rule}' in LINT-EXPECT marker")
                     continue
                 expected.add((idx, rule))
-        actual = {(idx, rule) for idx, rule, _ in scan_text(text, path, engine)}
+        as_path = AS_PATH_RE.search(text)
+        scan_path = as_path.group("path") if as_path else path
+        actual = {(idx, rule)
+                  for idx, rule, _ in scan_text(text, scan_path, engine)}
         for idx, rule in sorted(expected - actual):
             failures.append(f"{path.name}:{idx + 1}: expected a [{rule}] "
                             "finding, got none")
@@ -365,6 +413,24 @@ def self_test(engine):
         if len(got) != want:
             failures.append(f"obs case {text!r} at {path}: expected {want} "
                             f"finding(s), got {got}")
+        checked += 1
+    # transcendental is path-aware too: the solver core, the engine and
+    # the baselines are checked, except the audited parameter unit.
+    call = "double a = std::log2(d);\n"
+    transcendental_cases = [
+        (call, "src/core/protocol.hpp", 1),
+        (call, "src/congest/engine.hpp", 1),
+        (call, "src/baselines/kmw.cpp", 1),
+        (call, "src/core/params.cpp", 0),
+        (call, "src/ilp/simulation.cpp", 0),
+        ("double r = std::sqrt(x) + std::ldexp(x, -3);\n",
+         "src/core/mwhvc.cpp", 0),
+    ]
+    for text, path, want in transcendental_cases:
+        got = scan_text(text, path=path, engine=engine)
+        if len(got) != want:
+            failures.append(f"transcendental case {text!r} at {path}: "
+                            f"expected {want} finding(s), got {got}")
         checked += 1
     if failures:
         for f in failures:

@@ -106,6 +106,7 @@ struct MwhvcRun::Impl {
   MwhvcResult res;                // derived params filled at construction
   Trace trace;
   Config cfg;
+  VertexIncidenceState vertex_state;
   std::unique_ptr<Engine> eng;    // null on an edge-free instance
   InvariantChecker checker;
   std::uint32_t round = 0;
@@ -133,6 +134,23 @@ MwhvcRun::MwhvcRun(const hg::Hypergraph& g, const MwhvcOptions& opts) {
   res.z = level_cap(res.f, opts.eps);
   res.alpha_global =
       theorem9_alpha(res.f, opts.eps, std::max(g.max_degree(), 3u), opts.gamma);
+  Config& cfg = impl_->cfg;
+  cfg.graph = &g;
+  cfg.beta = res.beta;
+  cfg.z = res.z;
+  cfg.alpha_mode = opts.alpha_mode;
+  cfg.alpha_fixed = opts.alpha_fixed;
+  cfg.alpha_global = res.alpha_global;
+  if (opts.alpha_mode == AlphaMode::kLocalPerEdge) {
+    std::vector<std::uint32_t> degrees(g.num_vertices());
+    for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
+      degrees[v] = g.degree(v);
+    }
+    cfg.alpha_by_degree =
+        theorem9_alpha_table(res.f, opts.eps, opts.gamma, degrees);
+  }
+  cfg.appendix_c = opts.appendix_c;
+  cfg.trace = &impl_->trace;
   res.in_cover.assign(g.num_vertices(), false);
   res.duals.assign(g.num_edges(), 0.0);
 
@@ -151,27 +169,8 @@ MwhvcRun::MwhvcRun(const hg::Hypergraph& g, const MwhvcOptions& opts) {
     trace.stuck_per_level.assign(std::size_t{g.num_vertices()} * res.z, 0);
   }
 
-  Config& cfg = impl_->cfg;
-  cfg.graph = &g;
-  cfg.f = res.f;
-  cfg.eps = opts.eps;
-  cfg.beta = res.beta;
-  cfg.z = res.z;
-  cfg.alpha_mode = opts.alpha_mode;
-  cfg.alpha_fixed = opts.alpha_fixed;
-  cfg.alpha_global = res.alpha_global;
-  cfg.gamma = opts.gamma;
-  cfg.appendix_c = opts.appendix_c;
-  cfg.trace = &trace;
-
   impl_->eng = std::make_unique<Engine>(g, opts.engine);
-  Engine& eng = *impl_->eng;
-  for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
-    eng.vertex_agents()[v].configure(&cfg, v);
-  }
-  for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
-    eng.edge_agents()[e].configure(&cfg, e);
-  }
+  configure_agents(*impl_->eng, cfg, impl_->vertex_state);
 }
 
 MwhvcRun::~MwhvcRun() = default;
@@ -221,6 +220,10 @@ std::uint32_t MwhvcRun::max_rounds() const {
 }
 
 const MwhvcOptions& MwhvcRun::options() const { return impl_->opts; }
+
+double MwhvcRun::alpha_for(std::uint32_t local_delta) const {
+  return impl_->cfg.alpha_for(local_delta);
+}
 
 MwhvcResult MwhvcRun::finish_result() {
   Impl& im = *impl_;

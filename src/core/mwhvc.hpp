@@ -107,6 +107,10 @@ class MwhvcRun final : public api::ProtocolRun {
   [[nodiscard]] std::uint32_t max_rounds() const override;
   /// The options the run was started with.
   [[nodiscard]] const MwhvcOptions& options() const;
+  /// The alpha an edge with local degree bound `local_delta` uses in this
+  /// run. Under AlphaMode::kLocalPerEdge, `local_delta` must be 0, 1, 2 or
+  /// the degree of some vertex (as every edge's Delta(e) is).
+  [[nodiscard]] double alpha_for(std::uint32_t local_delta) const;
   /// Extracts the full MWHVC result (cover, duals, levels, trace, net
   /// stats, derived parameters, invariant verdict).
   [[nodiscard]] MwhvcResult finish_result();

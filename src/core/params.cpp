@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "congest/thread_pool.hpp"
-#include "util/math.hpp"
 
 namespace hypercover::core {
 
@@ -23,6 +22,14 @@ void validate(std::uint32_t f, double eps) {
 /// raw log zero).
 double log_f_over_eps(std::uint32_t f, double eps) {
   return std::max(std::log2(static_cast<double>(f) / eps), 1.0);
+}
+
+/// log2(log2(x)) clamped to >= 1, with x clamped to >= 4 first: the
+/// alpha rule divides by it, and small degrees would make it <= 0.
+/// theorem9_alpha only calls it for x >= 3 (assumption (iii)).
+double log_log_clamped(double x) {
+  const double l = std::log2(std::max(x, 4.0));
+  return std::max(std::log2(l), 1.0);
 }
 
 }  // namespace
@@ -45,12 +52,27 @@ double theorem9_alpha(std::uint32_t f, double eps, std::uint32_t delta,
   if (gamma <= 0.0) throw std::invalid_argument("theorem9_alpha: gamma <= 0");
   if (delta < 3) return 2.0;  // assumption (iii): Delta >= 3 for the formula
   const double log_d = std::log2(static_cast<double>(delta));
-  const double loglog_d = util::log_log_clamped(static_cast<double>(delta));
+  const double loglog_d = log_log_clamped(static_cast<double>(delta));
   const double candidate = log_d / (f * log_f_over_eps(f, eps) * loglog_d);
   if (candidate >= std::pow(log_d, gamma / 2.0)) {
     return std::max(2.0, candidate);
   }
   return 2.0;
+}
+
+std::vector<double> theorem9_alpha_table(
+    std::uint32_t f, double eps, double gamma,
+    std::span<const std::uint32_t> degrees) {
+  std::uint32_t max_degree = 2;
+  for (const std::uint32_t d : degrees) max_degree = std::max(max_degree, d);
+  std::vector<double> table(std::size_t{max_degree} + 1, 0.0);
+  for (std::uint32_t d = 0; d < 3; ++d) {
+    table[d] = theorem9_alpha(f, eps, d, gamma);
+  }
+  for (const std::uint32_t d : degrees) {
+    if (table[d] == 0.0) table[d] = theorem9_alpha(f, eps, d, gamma);
+  }
+  return table;
 }
 
 IterationBudget theorem8_budget(std::uint32_t f, double eps,

@@ -11,9 +11,22 @@
 //
 // Alpha may be derived from the global maximum degree Delta or, per the
 // remark before Theorem 9, from the local degree Delta(e) = max_{v in e}
-// |E(v)| of each hyperedge independently.
+// |E(v)| of each hyperedge independently. In the per-edge mode a run
+// tabulates alpha once over the distinct vertex degrees when it is built
+// (theorem9_alpha_table): Delta(e) is always the degree of one of e's
+// members, so every edge's alpha is a table load, never a fresh
+// evaluation.
+//
+// params.cpp is the one unit allowed to call libm transcendentals (log,
+// pow, exp, trig, ...). Their results may differ in the last ulp across
+// libm builds, so keeping them in one audited unit that only derives
+// run parameters keeps the solver core's arithmetic to exactly rounded
+// operations (+ - * /, sqrt, ldexp). scripts/determinism_lint.py enforces
+// this (rule `transcendental`).
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace hypercover::core {
 
@@ -37,6 +50,14 @@ enum class AlphaMode {
 /// log D / loglog D term dominates.
 [[nodiscard]] double theorem9_alpha(std::uint32_t f, double eps,
                                     std::uint32_t delta, double gamma);
+
+/// theorem9_alpha tabulated by degree: entry d equals
+/// theorem9_alpha(f, eps, d, gamma) for every d in `degrees`, evaluated
+/// once per distinct value, and entries 0..2 are always 2. Other entries
+/// are 0, which is never a valid alpha. Size max(max(degrees), 2) + 1.
+[[nodiscard]] std::vector<double> theorem9_alpha_table(
+    std::uint32_t f, double eps, double gamma,
+    std::span<const std::uint32_t> degrees);
 
 /// Analytic iteration bound of Theorem 8 for the given parameters:
 ///   #iterations <= C * (log_alpha(Delta * 2^(f z)) + f * z * alpha)

@@ -121,14 +121,14 @@ struct Trace {
 
 struct Config {
   const hg::Hypergraph* graph = nullptr;
-  std::uint32_t f = 0;  ///< rank bound used in beta (>= graph rank)
-  double eps = 0.5;
   double beta = 0;
   std::uint32_t z = 0;
   AlphaMode alpha_mode = AlphaMode::kLocalPerEdge;
   double alpha_fixed = 2.0;   ///< used when alpha_mode == kFixed
   double alpha_global = 2.0;  ///< Theorem 9 on the global Delta
-  double gamma = 0.001;
+  /// kLocalPerEdge: theorem9_alpha_table over the graph's vertex degrees.
+  /// Delta(e) is the degree of one of e's members, so every lookup hits.
+  std::vector<double> alpha_by_degree;
   bool appendix_c = false;  ///< one-level-per-iteration variant
   Trace* trace = nullptr;   ///< nullable
 
@@ -140,10 +140,21 @@ struct Config {
       case AlphaMode::kGlobalDelta:
         return alpha_global;
       case AlphaMode::kLocalPerEdge:
-        return theorem9_alpha(f, eps, local_delta, gamma);
+        return alpha_by_degree[local_delta];
     }
     return 2.0;
   }
+};
+
+/// The vertex agents' per-incidence state, one flat array per field in
+/// the graph's CSR incidence order: local index k of vertex v is slot
+/// first(v) + k, first(v) = Σ_{u < v} |E(u)|. The run owns the arrays and
+/// each agent views its own range, so parallel shards write disjoint
+/// slots.
+struct VertexIncidenceState {
+  std::vector<double> bid;           ///< local replica of bid(e)
+  std::vector<double> alpha;         ///< alpha(e)
+  std::vector<std::uint8_t> active;  ///< e in E'(v)?
 };
 
 // ---------------------------------------------------------------------------
@@ -152,16 +163,18 @@ struct Config {
 
 class MwhvcVertexAgent {
  public:
-  /// Must be called on every agent before the engine runs.
-  void configure(const Config* cfg, hg::VertexId id) {
+  /// Must be called on every agent before the engine runs (see
+  /// configure_agents). `first` is the vertex's first slot in `state`.
+  void configure(const Config* cfg, hg::VertexId id,
+                 VertexIncidenceState& state, std::size_t first) {
     cfg_ = cfg;
     id_ = id;
     const auto& g = *cfg_->graph;
     weight_ = static_cast<double>(g.weight(id));
     degree_ = g.degree(id);
-    bid_.assign(degree_, 0.0);
-    alpha_.assign(degree_, 2.0);
-    active_.assign(degree_, 1);
+    bid_ = state.bid.data() + first;
+    alpha_ = state.alpha.data() + first;
+    active_ = state.active.data() + first;
     active_count_ = degree_;
   }
 
@@ -359,9 +372,10 @@ class MwhvcVertexAgent {
   std::uint32_t degree_ = 0;
   std::uint32_t level_ = 0;
   double sum_delta_ = 0;          // Σ_{e in E(v)} δ(e), covered edges included
-  std::vector<double> bid_;       // local replica of bid(e), by local index
-  std::vector<double> alpha_;     // alpha(e), by local index
-  std::vector<std::uint8_t> active_;  // e in E'(v)?
+  // This vertex's range of the run's VertexIncidenceState, by local index.
+  double* bid_ = nullptr;
+  double* alpha_ = nullptr;
+  std::uint8_t* active_ = nullptr;
   std::uint32_t active_count_ = 0;
   double alpha_max_ = 2.0;
   std::uint32_t pending_incr_ = 0;  // own halvings already applied locally
@@ -514,5 +528,25 @@ struct MwhvcProtocol {
   using VertexAgent = MwhvcVertexAgent;
   using EdgeAgent = MwhvcEdgeAgent;
 };
+
+/// Sizes `state` for cfg.graph and configures every agent of `eng`, a
+/// congest::Engine<MwhvcProtocol> over that graph. `cfg` and `state` must
+/// outlive the engine's run.
+template <class Engine>
+void configure_agents(Engine& eng, const Config& cfg,
+                      VertexIncidenceState& state) {
+  const hg::Hypergraph& g = *cfg.graph;
+  state.bid.assign(g.num_incidences(), 0.0);
+  state.alpha.assign(g.num_incidences(), 2.0);
+  state.active.assign(g.num_incidences(), 1);
+  std::size_t first = 0;
+  for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
+    eng.vertex_agents()[v].configure(&cfg, v, state, first);
+    first += g.degree(v);
+  }
+  for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
+    eng.edge_agents()[e].configure(&cfg, e);
+  }
+}
 
 }  // namespace hypercover::core

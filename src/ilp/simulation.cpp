@@ -78,24 +78,19 @@ struct Shared {
   double beta = 0;
   std::uint32_t z = 0;
   std::uint32_t rank = 0;  // f' of the clause hypergraph
-  double eps = 0.5;
   core::AlphaMode alpha_mode = core::AlphaMode::kLocalPerEdge;
   double alpha_fixed = 2.0;
-  double gamma = 0.001;
   /// Clause member-masks per constraint, in the shared enumeration order.
   std::vector<std::vector<std::uint32_t>> clauses;
   /// H-degree of every variable (clause occurrences across constraints).
   std::vector<std::uint32_t> hdeg;
+  /// core::theorem9_alpha_table over hdeg, used by both Theorem 9 modes:
+  /// a clause's local degree is the H-degree of one of its members.
+  std::vector<double> alpha_by_hdeg;
 
   [[nodiscard]] double alpha_for(std::uint32_t local_delta) const {
-    switch (alpha_mode) {
-      case core::AlphaMode::kFixed:
-        return alpha_fixed;
-      case core::AlphaMode::kGlobalDelta:
-      case core::AlphaMode::kLocalPerEdge:
-        return core::theorem9_alpha(rank, eps, local_delta, gamma);
-    }
-    return 2.0;
+    return alpha_mode == core::AlphaMode::kFixed ? alpha_fixed
+                                                 : alpha_by_hdeg[local_delta];
   }
 };
 
@@ -475,10 +470,8 @@ SimulationResult simulate_zero_one(const CoveringIlp& zo,
   Shared shared;
   shared.zo = &zo;
   shared.net = &net;
-  shared.eps = opts.eps;
   shared.alpha_mode = opts.alpha_mode;
   shared.alpha_fixed = opts.alpha_fixed;
-  shared.gamma = opts.gamma;
   shared.clauses.resize(zo.num_constraints());
   shared.hdeg.assign(zo.num_vars(), 0);
   for (std::uint32_t i = 0; i < zo.num_constraints(); ++i) {
@@ -496,6 +489,10 @@ SimulationResult simulate_zero_one(const CoveringIlp& zo,
   shared.rank = std::max(res.rank, 1u);
   shared.beta = core::beta_for(shared.rank, opts.eps);
   shared.z = core::level_cap(shared.rank, opts.eps);
+  if (opts.alpha_mode != core::AlphaMode::kFixed) {
+    shared.alpha_by_hdeg = core::theorem9_alpha_table(
+        shared.rank, opts.eps, opts.gamma, shared.hdeg);
+  }
   res.beta = shared.beta;
   res.z = shared.z;
 

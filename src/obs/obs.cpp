@@ -153,6 +153,18 @@ std::vector<SpanRecord> Recorder::collect(std::uint64_t trace_id) const {
   return snapshot(trace_id);
 }
 
+void Recorder::collect_into(std::uint64_t trace_id,
+                            std::vector<SpanRecord>& spans) const {
+  std::vector<std::uint64_t> shipped(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) shipped[i] = spans[i].span_id;
+  std::sort(shipped.begin(), shipped.end());
+  for (const SpanRecord& rec : collect(trace_id)) {
+    if (!std::binary_search(shipped.begin(), shipped.end(), rec.span_id)) {
+      spans.push_back(rec);
+    }
+  }
+}
+
 std::vector<SpanRecord> Recorder::collect_all() const { return snapshot(0); }
 
 std::vector<SpanRecord> Recorder::snapshot(std::uint64_t trace_id) const {

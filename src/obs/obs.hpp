@@ -92,6 +92,13 @@ class Recorder {
   /// disturbs another.
   [[nodiscard]] std::vector<SpanRecord> collect(std::uint64_t trace_id) const;
 
+  /// Appends collect(trace_id) to `spans`, skipping records whose span id
+  /// `spans` already holds. A hop that ships its own spans on top of those
+  /// it received uses this: when the hops share one process (tests, an
+  /// embedded fleet), the received spans came out of this recorder too.
+  void collect_into(std::uint64_t trace_id,
+                    std::vector<SpanRecord>& spans) const;
+
   /// Snapshot of every live record across all rings, sorted the same
   /// way. Drain-time export for the daemons' --trace-out.
   [[nodiscard]] std::vector<SpanRecord> collect_all() const;

@@ -469,8 +469,7 @@ struct Router::Impl {
         // re-encoded Result (canonical re-encode, digest untouched).
         attempt_span.end();
         route_span.end();
-        const auto mine = obs::recorder().collect(tid);
-        wire.spans.insert(wire.spans.end(), mine.begin(), mine.end());
+        obs::recorder().collect_into(tid, wire.spans);
         PayloadWriter w;
         server::encode_result(w, wire);
         write_frame(client, FrameTag::kResult, w.take());

@@ -160,8 +160,7 @@ WireResult Client::solve(std::string_view algorithm, const SolveKnobs& knobs) {
       if (trace_id != 0) {
         root.set_arg(retries);
         root.end();
-        auto mine = obs::recorder().collect(trace_id);
-        res.spans.insert(res.spans.end(), mine.begin(), mine.end());
+        obs::recorder().collect_into(trace_id, res.spans);
       }
       return res;
     } catch (const BusyError&) {

@@ -55,12 +55,4 @@ namespace hypercover::util {
   return std::fabs(a - b) <= tol * scale;
 }
 
-/// x / log(x) guard used by the alpha-selection rule: natural to call with
-/// small degrees, where log log would be <= 0. Callers must have ensured
-/// x >= 3 per the paper's assumption (iii); we clamp defensively.
-[[nodiscard]] inline double log_log_clamped(double x) noexcept {
-  const double l = std::log2(std::max(x, 4.0));
-  return std::max(std::log2(l), 1.0);
-}
-
 }  // namespace hypercover::util

@@ -1,11 +1,15 @@
 // Tests for §3.1 / Theorem 9 parameter selection: beta, the level cap z,
-// the alpha rule, and the Theorem 8 iteration budget.
+// the alpha rule and its per-run degree table, and the Theorem 8
+// iteration budget.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "core/mwhvc.hpp"
 #include "core/params.hpp"
+#include "hypergraph/hypergraph.hpp"
 
 namespace hypercover::core {
 namespace {
@@ -66,6 +70,65 @@ TEST(Params, AlphaFallsBackToTwoWhenTermSmall) {
 TEST(Params, AlphaValidation) {
   EXPECT_THROW((void)theorem9_alpha(2, 0.5, 8, 0.0), std::invalid_argument);
   EXPECT_THROW((void)theorem9_alpha(0, 0.5, 8, 0.001), std::invalid_argument);
+}
+
+TEST(Params, AlphaTableHoldsEachListedDegree) {
+  const std::vector<std::uint32_t> degrees = {300, 5, 300, 1};
+  const auto table = theorem9_alpha_table(1, 1.0, 0.001, degrees);
+  ASSERT_EQ(table.size(), 301u);
+  for (const std::uint32_t d : {0u, 1u, 2u}) EXPECT_EQ(table[d], 2.0);
+  EXPECT_EQ(table[5], theorem9_alpha(1, 1.0, 5, 0.001));
+  EXPECT_EQ(table[300], theorem9_alpha(1, 1.0, 300, 0.001));
+  EXPECT_GT(table[300], 2.0);
+  EXPECT_EQ(table[4], 0.0);  // absent degree: never looked up
+  EXPECT_EQ(theorem9_alpha_table(1, 1.0, 0.001, {}).size(), 3u);
+  EXPECT_THROW((void)theorem9_alpha_table(1, 1.0, 0.0, degrees),
+               std::invalid_argument);
+}
+
+// Vertex v_d has degree d, through d singleton edges {v_d}: rank 1 and
+// eps = 1 make Theorem 9's alpha exceed 2 from moderate degrees on.
+hg::Hypergraph graph_with_degrees(const std::vector<std::uint32_t>& degrees) {
+  hg::Builder b;
+  for (const std::uint32_t d : degrees) {
+    const hg::VertexId v = b.add_vertex(1 + d % 7);
+    for (std::uint32_t k = 0; k < d; ++k) b.add_edge({v});
+  }
+  return b.build();
+}
+
+TEST(Params, RunAlphaLookupMatchesTheorem9PerMode) {
+  const std::vector<std::uint32_t> degrees = {0, 1, 2, 3, 5, 17, 300, 4096};
+  const hg::Hypergraph g = graph_with_degrees(degrees);
+  ASSERT_EQ(g.rank(), 1u);
+  MwhvcOptions opts;
+  opts.eps = 1.0;
+
+  opts.alpha_mode = AlphaMode::kLocalPerEdge;
+  const MwhvcRun local(g, opts);
+  bool some_above_two = false;
+  for (const std::uint32_t d : degrees) {
+    EXPECT_EQ(local.alpha_for(d), theorem9_alpha(1, 1.0, d, opts.gamma))
+        << "degree " << d;
+    if (d < 3) {
+      EXPECT_EQ(local.alpha_for(d), 2.0) << "degree " << d;
+    }
+    some_above_two = some_above_two || local.alpha_for(d) > 2.0;
+  }
+  EXPECT_TRUE(some_above_two);
+
+  opts.alpha_mode = AlphaMode::kFixed;
+  opts.alpha_fixed = 3.5;
+  const MwhvcRun fixed(g, opts);
+  for (const std::uint32_t d : degrees) EXPECT_EQ(fixed.alpha_for(d), 3.5);
+
+  opts.alpha_mode = AlphaMode::kGlobalDelta;
+  const MwhvcRun global(g, opts);
+  const double alpha_global = theorem9_alpha(1, 1.0, 4096, opts.gamma);
+  EXPECT_GT(alpha_global, 2.0);
+  for (const std::uint32_t d : degrees) {
+    EXPECT_EQ(global.alpha_for(d), alpha_global);
+  }
 }
 
 TEST(Params, Theorem8BudgetComposition) {

@@ -20,25 +20,20 @@ struct Fixture {
   hg::Hypergraph graph;
   Config cfg;
   Trace trace;
+  VertexIncidenceState vertex_state;
   std::unique_ptr<Engine> eng;
 
   explicit Fixture(hg::Hypergraph g, double eps = 0.5)
       : graph(std::move(g)) {
+    const std::uint32_t f = std::max(graph.rank(), 1u);
     cfg.graph = &graph;
-    cfg.f = std::max(graph.rank(), 1u);
-    cfg.eps = eps;
-    cfg.beta = beta_for(cfg.f, eps);
-    cfg.z = level_cap(cfg.f, eps);
+    cfg.beta = beta_for(f, eps);
+    cfg.z = level_cap(f, eps);
     cfg.alpha_mode = AlphaMode::kFixed;
     cfg.alpha_fixed = 2.0;
     cfg.trace = &trace;
     eng = std::make_unique<Engine>(graph);
-    for (hg::VertexId v = 0; v < graph.num_vertices(); ++v) {
-      eng->vertex_agents()[v].configure(&cfg, v);
-    }
-    for (hg::EdgeId e = 0; e < graph.num_edges(); ++e) {
-      eng->edge_agents()[e].configure(&cfg, e);
-    }
+    configure_agents(*eng, cfg, vertex_state);
   }
 
   void steps(int k) {

@@ -25,11 +25,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -38,6 +41,7 @@
 #include "hypergraph/generators.hpp"
 #include "hypergraph/io.hpp"
 #include "hypergraph/weights.hpp"
+#include "obs/obs.hpp"
 #include "router/ring.hpp"
 #include "router/router.hpp"
 #include "server/client.hpp"
@@ -505,6 +509,68 @@ TEST(Router, FleetStatsAggregateTheWholeFleet) {
   // The router folds its own client-facing counters on top.
   EXPECT_GE(fleet.connections, direct[0].connections + direct[1].connections +
                                    direct[2].connections);
+}
+
+/// A traced Result's spans form one tree: unique ids, one client.solve
+/// root, every parent shipped, and every child's interval inside its
+/// parent's (one host clock, so containment holds exactly). Returns the
+/// span names.
+std::set<std::string> expect_one_stitched_tree(const server::WireResult& res) {
+  std::map<std::uint64_t, const obs::SpanRecord*> by_id;
+  std::set<std::string> names;
+  std::size_t roots = 0;
+  for (const obs::SpanRecord& sp : res.spans) {
+    EXPECT_NE(sp.span_id, 0u) << sp.name;
+    EXPECT_TRUE(by_id.emplace(sp.span_id, &sp).second)
+        << "duplicate span id on " << sp.name;
+    EXPECT_EQ(sp.trace_id, res.spans.front().trace_id) << sp.name;
+    names.emplace(sp.name);
+    if (sp.parent_span_id == 0) {
+      ++roots;
+      EXPECT_STREQ(sp.name, "client.solve");
+    }
+  }
+  EXPECT_EQ(roots, 1u);
+  for (const obs::SpanRecord& sp : res.spans) {
+    if (sp.parent_span_id == 0) continue;
+    const auto parent = by_id.find(sp.parent_span_id);
+    if (parent == by_id.end()) {
+      ADD_FAILURE() << sp.name << ": parent span not shipped";
+      continue;
+    }
+    const obs::SpanRecord& p = *parent->second;
+    EXPECT_GE(sp.start_ns, p.start_ns) << sp.name << " starts before "
+                                       << p.name;
+    EXPECT_LE(sp.start_ns + sp.dur_ns, p.start_ns + p.dur_ns)
+        << sp.name << " ends after " << p.name;
+  }
+  return names;
+}
+
+TEST(Router, TracedMissAndHitEachShipOneStitchedSpanTree) {
+  TestBackend b0, b1, b2;
+  TestRouter rt({b0.address(), b1.address(), b2.address()});
+  server::Client client = rt.client();
+  client.set_tracing(true);
+  (void)client.submit_graph_text(hg::to_text(test_graph(61)));
+
+  const server::WireResult miss = client.solve("mwhvc");
+  ASSERT_FALSE(miss.cache_hit);
+  const std::set<std::string> miss_names = expect_one_stitched_tree(miss);
+  const server::WireResult hit = client.solve("mwhvc");
+  ASSERT_TRUE(hit.cache_hit);
+  const std::set<std::string> hit_names = expect_one_stitched_tree(hit);
+
+  for (const char* layer : {"client.solve", "router.route", "router.attempt",
+                            "server.admit"}) {
+    EXPECT_TRUE(miss_names.contains(layer)) << "miss lacks " << layer;
+    EXPECT_TRUE(hit_names.contains(layer)) << "hit lacks " << layer;
+  }
+  // Only the miss runs the scheduler and the engine.
+  for (const char* layer : {"batch.slice", "engine.round"}) {
+    EXPECT_TRUE(miss_names.contains(layer)) << "miss lacks " << layer;
+    EXPECT_FALSE(hit_names.contains(layer)) << "hit has " << layer;
+  }
 }
 
 // --- router: fault injection ------------------------------------------------
